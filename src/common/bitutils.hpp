@@ -55,10 +55,13 @@ namespace bbal {
   const std::uint64_t kept = v >> n;
   const std::uint64_t dropped = v & low_mask(n);
   const std::uint64_t half = std::uint64_t{1} << (n - 1);
-  if (dropped > half) return kept + 1;
-  if (dropped < half) return kept;
-  // Tie: round to even.
-  return (kept & 1u) != 0 ? kept + 1 : kept;
+  // Round up above the half-way point, and on a tie when that makes the
+  // result even. Computed without branches: the dropped bits of quantised
+  // data are effectively random, so a branch would mispredict often.
+  const std::uint64_t up = static_cast<std::uint64_t>(dropped > half) |
+                           (static_cast<std::uint64_t>(dropped == half) &
+                            (kept & 1u));
+  return kept + up;
 }
 
 /// True if `v` fits in `bits` unsigned bits.

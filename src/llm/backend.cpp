@@ -97,12 +97,6 @@ void BlockQuantMatmulBackend::quantise_activations_into(const Matrix& acts,
   }
 }
 
-Matrix BlockQuantMatmulBackend::quantise_activations(const Matrix& acts) const {
-  Matrix q;
-  quantise_activations_into(acts, q);
-  return q;
-}
-
 int BlockQuantMatmulBackend::prepare_weights(const Matrix& w,
                                              const std::string& tag) {
   (void)tag;
@@ -114,9 +108,9 @@ void BlockQuantMatmulBackend::matmul(const Matrix& acts, int weight_handle,
                                      Matrix& out) {
   assert(weight_handle >= 0 &&
          weight_handle < static_cast<int>(quantised_weights_.size()));
-  // The quantised-activation scratch is a member so the decode loop's
-  // steady state allocates nothing; backends are single-session objects
-  // (see bbal/registry.hpp), so matmul() is never re-entered.
+  // The quantised-activation scratch is a member, so once warm matmul()
+  // allocates nothing; backends are single-session objects (see
+  // bbal/registry.hpp), so matmul() is never re-entered.
   quantise_activations_into(acts, act_scratch_);
   llm::matmul(act_scratch_,
               quantised_weights_[static_cast<std::size_t>(weight_handle)],

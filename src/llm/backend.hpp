@@ -106,8 +106,6 @@ class BlockQuantMatmulBackend final : public MatmulBackend {
   }
   [[nodiscard]] std::string name() const override;
 
-  /// Quantise activations row-block-wise (exposed for tests/analysis).
-  [[nodiscard]] Matrix quantise_activations(const Matrix& acts) const;
   /// Row-block-wise activation quantisation into a caller-owned matrix
   /// (resized to acts' shape): the allocation-free path matmul() runs on.
   void quantise_activations_into(const Matrix& acts, Matrix& q) const;

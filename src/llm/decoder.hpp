@@ -154,10 +154,13 @@ class Decoder {
   ///
   /// tokens and views must be the same non-zero size, views non-null and
   /// distinct. logits_out is resized to (batch x vocab) reusing its
-  /// storage; together with the decoder's persistent per-layer workspace
-  /// this makes the steady-state loop allocation-free. Rows follow the
-  /// caller's order, so retiring or back-filling sequences between calls
-  /// just changes which views are passed.
+  /// storage, and the decoder's per-layer workspace persists across calls,
+  /// so the step's own buffers are not reallocated once warm. A serving
+  /// run as a whole still allocates: perfbench measures allocs_per_token
+  /// at BBAL_THREADS=1 of about 76 (decode-bbfp), 22 (prefill-shared-fp16)
+  /// and 15 (sweep-table2). Rows follow the caller's order, so retiring or
+  /// back-filling sequences between calls just changes which views are
+  /// passed.
   void step_batch(std::span<const int> tokens,
                   std::span<KVCacheView* const> views, Matrix& logits_out);
 

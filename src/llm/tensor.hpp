@@ -65,10 +65,6 @@ class Matrix {
 void matmul(const Matrix& a, const Matrix& b, Matrix& c);
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// out = row_vec (1xK) * B (KxN); double accumulation.
-void matvec(std::span<const float> row_vec, const Matrix& b,
-            std::span<float> out);
-
 /// RMSNorm over each row: x <- x / rms(x) * gain.
 void rmsnorm_rows(Matrix& x, std::span<const float> gain, float eps = 1e-5f);
 void rmsnorm_row(std::span<float> x, std::span<const float> gain,

@@ -1,14 +1,19 @@
 #include "nl/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <vector>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <tuple>
 
 #include "common/float_parts.hpp"
 
 namespace bbal::nl {
 namespace {
 
+double exp_ref(double x) { return std::exp(x); }
 double sigmoid_ref(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 double phi_ref(double x) { return 0.5 * (1.0 + std::erf(x / std::sqrt(2.0))); }
 
@@ -17,53 +22,116 @@ double phi_ref(double x) { return 0.5 * (1.0 + std::erf(x / std::sqrt(2.0))); }
 NlUnitEngine::NlUnitEngine(quant::BlockFormat fmt, int addr_bits)
     : fmt_(fmt), addr_bits_(addr_bits) {
   assert(addr_bits >= 2 && addr_bits <= fmt.mantissa_bits);
+  tables_[kExpTable].f = exp_ref;
+  tables_[kSigmoidTable].f = sigmoid_ref;
+  tables_[kPhiTable].f = phi_ref;
+  for (LutTable& t : tables_) t.at_zero = quantise_entry(t.f(0.0));
+}
+
+const double* NlUnitEngine::shared_row(Table table, int step_exponent,
+                                       bool negative) const {
+  using Key = std::tuple<int, int, int, int, bool>;
+  static std::mutex mu;
+  // Never destroyed: rows handed out stay valid until process exit.
+  static auto* const rows = new std::map<Key, std::unique_ptr<double[]>>();
+  const std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<double[]>& row =
+      (*rows)[{table, fmt_.mantissa_bits, addr_bits_, step_exponent,
+               negative}];
+  if (!row) {
+    const std::uint32_t entries = std::uint32_t{1} << addr_bits_;
+    row = std::make_unique<double[]>(entries);
+    for (std::uint32_t a = 0; a < entries; ++a)
+      row[a] = quantise_entry(tables_[table].f(
+          bucket_midpoint(step_exponent, negative, a)));
+  }
+  return row.get();
 }
 
 double NlUnitEngine::quantise_entry(double v) const {
   if (v == 0.0) return 0.0;
   // Entries are stored with the unit's mantissa precision (sign + 5-bit
   // exponent + m-bit mantissa), i.e. scalar round at m bits.
-  const FloatParts parts = decompose(v, fmt_.mantissa_bits);
-  return compose(parts, fmt_.mantissa_bits);
+  return round_to_precision(v, fmt_.mantissa_bits);
 }
 
-void NlUnitEngine::apply_lut(std::span<const double> xs, std::span<double> out,
-                             const std::function<double(double)>& f) {
+double NlUnitEngine::bucket_midpoint(int step_exponent, bool negative,
+                                     std::uint32_t addr) const {
+  const int m = fmt_.mantissa_bits;
+  const int drop = m - addr_bits_;
+  const double mid_mantissa =
+      (static_cast<double>(addr) + 0.5) * std::ldexp(1.0, drop);
+  const double step = std::ldexp(1.0, step_exponent - m + 1);
+  return mid_mantissa * step * (negative ? -1.0 : 1.0);
+}
+
+double NlUnitEngine::lut_entry(Table table, int step_exponent, bool negative,
+                               std::uint32_t addr) {
+  LutTable& t = tables_[table];
+  const int r = step_exponent - kLutMinExponent;
+  if (r < 0 || r >= kLutExponents)
+    return quantise_entry(t.f(bucket_midpoint(step_exponent, negative, addr)));
+  const double*& row =
+      t.rows[static_cast<std::size_t>(2 * r + (negative ? 1 : 0))];
+  if (row == nullptr) row = shared_row(table, step_exponent, negative);
+  return row[addr];
+}
+
+template <typename Entry>
+void NlUnitEngine::run_lut(std::span<const double> xs, std::span<double> out,
+                           Entry&& entry) {
   assert(xs.size() == out.size());
+  if (xs.empty()) return;
   // The Align Exponent Unit computes ONE shared exponent for the whole
   // vector (Section IV.B: "once a shared exponent is calculated during the
   // alignment phase, the corresponding sub-table can be loaded") — this is
   // what makes max-aligned BFP catastrophic on wide-range vectors while
   // BBFP's lowered exponent keeps the bulk resolution.
-  const std::size_t bs = xs.size();
-  const int m = fmt_.mantissa_bits;
+  quant::encode_block_into(xs, fmt_, block_);
+  ++stats_.blocks_encoded;
+  stats_.elements += xs.size();
+  const int se = block_.shared_exponent;
   const int dd = fmt_.shift_distance();
-  const int drop = m - addr_bits_;
-
-  for (std::size_t start = 0; start < xs.size(); start += bs) {
-    const std::size_t len = std::min(bs, xs.size() - start);
-    const quant::EncodedBlock block =
-        quant::encode_block(xs.subspan(start, len), fmt_);
-    ++stats_.blocks_encoded;
-    for (std::size_t i = 0; i < len; ++i) {
-      const quant::BlockElement& e = block.elems[i];
-      ++stats_.elements;
-      double x_mid = 0.0;
-      if (e.mantissa != 0) {
-        // LUT address: top addr_bits of the aligned mantissa. The bucket
-        // midpoint reconstructs the input the entry was tabulated at.
-        const std::uint32_t addr = e.mantissa >> drop;
-        const double mid_mantissa =
-            (static_cast<double>(addr) + 0.5) * std::ldexp(1.0, drop);
-        const double step =
-            std::ldexp(1.0, block.shared_exponent - m + 1 + (e.flag ? dd : 0));
-        x_mid = mid_mantissa * step * (e.negative ? -1.0 : 1.0);
-        ++stats_.lut_lookups;
-        stats_.subtables_touched.insert({block.shared_exponent, e.flag});
-      }
-      out[start + i] = quantise_entry(f(x_mid));
+  const int drop = fmt_.mantissa_bits - addr_bits_;
+  std::array<bool, 2> touched{};  // sub-tables hit, by flag
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const quant::BlockElement& e = block_.elems[i];
+    if (e.mantissa == 0) {
+      out[i] = entry(nullptr, 0, 0u);
+      continue;
     }
+    // LUT address: top addr_bits of the aligned mantissa, in the sub-table
+    // selected by the shared exponent and the element's flag.
+    ++stats_.lut_lookups;
+    touched[e.flag ? 1 : 0] = true;
+    out[i] = entry(&e, se + (e.flag ? dd : 0), e.mantissa >> drop);
   }
+  for (const bool flag : {false, true})
+    if (touched[flag ? 1 : 0]) stats_.subtables_touched.insert({se, flag});
+}
+
+void NlUnitEngine::apply_lut(std::span<const double> xs, std::span<double> out,
+                             const std::function<double(double)>& f) {
+  run_lut(xs, out,
+          [&](const quant::BlockElement* e, int step_exponent,
+              std::uint32_t addr) {
+            const double x_mid =
+                e == nullptr ? 0.0
+                             : bucket_midpoint(step_exponent, e->negative,
+                                               addr);
+            return quantise_entry(f(x_mid));
+          });
+}
+
+void NlUnitEngine::apply_table(std::span<const double> xs,
+                               std::span<double> out, Table table) {
+  run_lut(xs, out,
+          [&](const quant::BlockElement* e, int step_exponent,
+              std::uint32_t addr) {
+            return e == nullptr
+                       ? tables_[table].at_zero
+                       : lut_entry(table, step_exponent, e->negative, addr);
+          });
 }
 
 void NlUnitEngine::softmax(std::span<float> xs) {
@@ -72,14 +140,14 @@ void NlUnitEngine::softmax(std::span<float> xs) {
   float mx = xs[0];
   for (const float v : xs) mx = std::max(mx, v);
   // 2. Sub unit (FP16-precision subtract), then exp LUT on x - max <= 0.
-  std::vector<double> shifted(xs.size());
+  in_.resize(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i)
-    shifted[i] = to_fp16(static_cast<double>(xs[i]) - mx);
-  std::vector<double> exps(xs.size());
-  apply_lut(shifted, exps, [](double x) { return std::exp(x); });
+    in_[i] = to_fp16(static_cast<double>(xs[i]) - mx);
+  lut_out_.resize(xs.size());
+  apply_table(in_, lut_out_, kExpTable);
   // 3. Adder tree (high-bitwidth integer in hardware; exact here).
   double sum = 0.0;
-  for (const double v : exps) sum += v;
+  for (const double v : lut_out_) sum += v;
   if (sum <= 0.0) {  // degenerate: uniform fallback
     const float u = 1.0f / static_cast<float>(xs.size());
     for (float& v : xs) v = u;
@@ -87,38 +155,31 @@ void NlUnitEngine::softmax(std::span<float> xs) {
   }
   // 4. Div unit + output encoder (quotients re-quantised to m bits).
   for (std::size_t i = 0; i < xs.size(); ++i)
-    xs[i] = static_cast<float>(quantise_entry(exps[i] / sum));
+    xs[i] = static_cast<float>(quantise_entry(lut_out_[i] / sum));
 }
 
-void NlUnitEngine::silu(std::span<float> xs) {
-  std::vector<double> in(xs.begin(), xs.end());
-  std::vector<double> sig(xs.size());
-  apply_lut(in, sig, sigmoid_ref);
-  // Mul unit: multiply the vector-aligned quantised input by the entry.
-  quant::BlockFormat vec_fmt = fmt_;
-  vec_fmt.block_size = std::max<int>(1, static_cast<int>(xs.size()));
-  const std::vector<double> xq = quant::quantise(in, vec_fmt);
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    xs[i] = static_cast<float>(quantise_entry(xq[i] * sig[i]));
+void NlUnitEngine::lookup(std::span<const float> xs, Table table) {
+  in_.assign(xs.begin(), xs.end());
+  lut_out_.resize(xs.size());
+  apply_table(in_, lut_out_, table);
 }
 
-void NlUnitEngine::gelu(std::span<float> xs) {
-  std::vector<double> in(xs.begin(), xs.end());
-  std::vector<double> phi(xs.size());
-  apply_lut(in, phi, phi_ref);
-  quant::BlockFormat vec_fmt = fmt_;
-  vec_fmt.block_size = std::max<int>(1, static_cast<int>(xs.size()));
-  const std::vector<double> xq = quant::quantise(in, vec_fmt);
+void NlUnitEngine::gated(std::span<float> xs, Table table) {
+  lookup(xs, table);
+  // Mul unit: multiply the vector-aligned quantised input (the block the
+  // LUT pass just encoded) by the entry.
   for (std::size_t i = 0; i < xs.size(); ++i)
-    xs[i] = static_cast<float>(quantise_entry(xq[i] * phi[i]));
+    xs[i] = static_cast<float>(quantise_entry(block_.decode(i) * lut_out_[i]));
 }
+
+void NlUnitEngine::silu(std::span<float> xs) { gated(xs, kSigmoidTable); }
+
+void NlUnitEngine::gelu(std::span<float> xs) { gated(xs, kPhiTable); }
 
 void NlUnitEngine::sigmoid(std::span<float> xs) {
-  std::vector<double> in(xs.begin(), xs.end());
-  std::vector<double> sig(xs.size());
-  apply_lut(in, sig, sigmoid_ref);
+  lookup(xs, kSigmoidTable);
   for (std::size_t i = 0; i < xs.size(); ++i)
-    xs[i] = static_cast<float>(sig[i]);
+    xs[i] = static_cast<float>(lut_out_[i]);
 }
 
 int NlUnitEngine::provisioned_subtables(int e_min, int e_max,

@@ -10,11 +10,13 @@
 // mechanism behind Table IV's blow-up.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <set>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "quant/block.hpp"
 
@@ -53,7 +55,8 @@ class NlUnitEngine {
   void sigmoid(std::span<float> xs);
 
   /// Generic elementwise f through the LUT path (building block; exposed
-  /// for error-bound tests).
+  /// for error-bound tests). Evaluates f per lookup; the built-in
+  /// functions above read memoised tables instead, with identical results.
   void apply_lut(std::span<const double> xs, std::span<double> out,
                  const std::function<double(double)>& f);
 
@@ -72,12 +75,63 @@ class NlUnitEngine {
   [[nodiscard]] std::size_t subtable_bits() const;
 
  private:
+  /// Functions with memoised sub-tables.
+  enum Table { kExpTable, kSigmoidTable, kPhiTable, kTableCount };
+
+  /// Effective step exponents (shared exponent + flag * d) whose sub-table
+  /// rows are memoised; lookups outside the window evaluate directly.
+  static constexpr int kLutMinExponent = -64;
+  static constexpr int kLutExponents = 128;
+
+  /// One function's sub-tables as this engine has loaded them: slot
+  /// 2 * (e - kLutMinExponent) + sign points at the 2^addr_bits entries
+  /// of step exponent e and that sign, or is null until first use.
+  struct LutTable {
+    double (*f)(double) = nullptr;
+    double at_zero = 0.0;  ///< entry read by zero-mantissa elements
+    std::array<const double*, 2 * kLutExponents> rows{};
+  };
+
+  /// The entries of one sub-table row. They depend only on (function,
+  /// m, addr_bits, step exponent, sign), so every engine shares one
+  /// process-wide copy, computed on first request and never freed.
+  [[nodiscard]] const double* shared_row(Table table, int step_exponent,
+                                         bool negative) const;
+
   /// Quantise a scalar LUT entry / output to the unit's mantissa precision.
   [[nodiscard]] double quantise_entry(double v) const;
+
+  /// The input the entry at `addr` of a sub-table with quantisation step
+  /// 2^(step_exponent - m + 1) is tabulated at: its bucket midpoint.
+  [[nodiscard]] double bucket_midpoint(int step_exponent, bool negative,
+                                       std::uint32_t addr) const;
+
+  /// Memoised quantise_entry(f(bucket_midpoint(...))) for `table`.
+  [[nodiscard]] double lut_entry(Table table, int step_exponent, bool negative,
+                                 std::uint32_t addr);
+
+  /// The unit's pipeline over one vector: encode xs as one block into
+  /// block_, then out[i] = entry(element i, its step exponent).
+  template <typename Entry>
+  void run_lut(std::span<const double> xs, std::span<double> out,
+               Entry&& entry);
+  /// run_lut reading the memoised sub-tables of `table`.
+  void apply_table(std::span<const double> xs, std::span<double> out,
+                   Table table);
+  /// lut_out_ = table(xs) through the LUT pass, with in_ holding xs and
+  /// block_ its encoding.
+  void lookup(std::span<const float> xs, Table table);
+  /// The Mul-unit pipeline shared by SiLU and GELU: x * table(x).
+  void gated(std::span<float> xs, Table table);
 
   quant::BlockFormat fmt_;
   int addr_bits_;
   NlUsageStats stats_;
+  std::array<LutTable, kTableCount> tables_;
+  // Per-call working storage, kept so steady-state calls allocate nothing.
+  quant::EncodedBlock block_;
+  std::vector<double> in_;
+  std::vector<double> lut_out_;
 };
 
 }  // namespace bbal::nl

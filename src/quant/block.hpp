@@ -1,10 +1,12 @@
 // Encoded block representation and encode/decode entry points.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/float_parts.hpp"
 #include "quant/format.hpp"
 
 namespace bbal::quant {
@@ -15,6 +17,21 @@ struct BlockElement {
   bool flag = false;
   std::uint32_t mantissa = 0;
 };
+
+/// Value of element `e` in a block of `fmt` with shared exponent E_s:
+/// (-1)^sign * mantissa * 2^(E_s - m + 1 + flag * d).
+[[nodiscard]] inline double decode_element(const BlockFormat& fmt,
+                                           int shared_exponent,
+                                           const BlockElement& e) {
+  // Flag and sign select arithmetically: both are data dependent, so
+  // branches on them would mispredict. Negation is the sign-bit flip.
+  const int lift = fmt.shift_distance() * static_cast<int>(e.flag);
+  const double mag =
+      scale_pow2(static_cast<double>(e.mantissa),
+                 shared_exponent - fmt.mantissa_bits + 1 + lift);
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(mag) ^
+                               (static_cast<std::uint64_t>(e.negative) << 63));
+}
 
 /// A block of values sharing one exponent, plus enough metadata to decode.
 struct EncodedBlock {
@@ -43,14 +60,25 @@ struct EncodedBlock {
 [[nodiscard]] EncodedBlock encode_block(std::span<const double> values,
                                         const BlockFormat& fmt);
 
+/// encode_block into a caller-owned block, reusing its element storage:
+/// a steady-state loop over equal-sized blocks allocates nothing. The
+/// float overload encodes each value exactly as its double conversion.
+void encode_block_into(std::span<const double> values, const BlockFormat& fmt,
+                       EncodedBlock& block);
+void encode_block_into(std::span<const float> values, const BlockFormat& fmt,
+                       EncodedBlock& block);
+
 /// Round-trip convenience: encode in consecutive blocks of fmt.block_size
-/// (last block may be short) and decode back. `out` aliases allowed.
+/// (last block may be short) and decode back, element by element through
+/// the same rules as encode_block + decode, without materialising blocks
+/// (no allocation). `out` may alias `values` exactly.
 void quantise(std::span<const double> values, const BlockFormat& fmt,
               std::span<double> out);
 [[nodiscard]] std::vector<double> quantise(std::span<const double> values,
                                            const BlockFormat& fmt);
 
-/// float overloads used by the LLM fake-quant executor.
+/// float overload used by the LLM fake-quant executor: each value is
+/// quantised as its double conversion and the result rounded to float.
 void quantise(std::span<const float> values, const BlockFormat& fmt,
               std::span<float> out);
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <vector>
 
 #include "quant/block.hpp"
 #include "quant/strategy.hpp"
@@ -12,22 +11,35 @@
 namespace bbal::quant {
 namespace {
 
-/// MSB-first bit packer over a byte span. Groups are byte-padded, so one
-/// writer/reader per group keeps rows independently addressable.
+/// MSB-first bit packer over a byte span, a 64-bit word at a time: fields
+/// shift into the word's low end and whole bytes leave from its top.
+/// Groups are byte-padded, so one writer/reader per group keeps rows
+/// independently addressable.
 class BitWriter {
  public:
   explicit BitWriter(std::span<std::uint8_t> out) : out_(out) {}
 
+  /// Append the low `bits` (<= 32) bits of `value`.
   void put(std::uint32_t value, int bits) {
-    for (int b = bits - 1; b >= 0; --b) {
-      if ((value >> b) & 1u)
-        out_[pos_ >> 3] |= static_cast<std::uint8_t>(0x80u >> (pos_ & 7));
-      ++pos_;
+    word_ = (word_ << bits) | value;
+    pending_ += bits;
+    while (pending_ >= 8) {
+      pending_ -= 8;
+      out_[pos_++] = static_cast<std::uint8_t>(word_ >> pending_);
     }
+  }
+
+  /// Write the last partial byte, zero-padded.
+  void flush() {
+    if (pending_ > 0)
+      out_[pos_++] = static_cast<std::uint8_t>(word_ << (8 - pending_));
+    pending_ = 0;
   }
 
  private:
   std::span<std::uint8_t> out_;
+  std::uint64_t word_ = 0;
+  int pending_ = 0;  ///< bits in word_ not yet written
   std::size_t pos_ = 0;
 };
 
@@ -35,18 +47,21 @@ class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> in) : in_(in) {}
 
+  /// Read the next `bits` (<= 32) bits.
   [[nodiscard]] std::uint32_t get(int bits) {
-    std::uint32_t value = 0;
-    for (int b = 0; b < bits; ++b) {
-      value = (value << 1) |
-              ((in_[pos_ >> 3] >> (7 - (pos_ & 7))) & 1u);
-      ++pos_;
+    while (avail_ < bits) {
+      word_ = (word_ << 8) | in_[pos_++];
+      avail_ += 8;
     }
-    return value;
+    avail_ -= bits;
+    return static_cast<std::uint32_t>((word_ >> avail_) &
+                                      ((std::uint64_t{1} << bits) - 1));
   }
 
  private:
   std::span<const std::uint8_t> in_;
+  std::uint64_t word_ = 0;
+  int avail_ = 0;  ///< unread bits at the low end of word_
   std::size_t pos_ = 0;
 };
 
@@ -144,13 +159,12 @@ void KvPageCodec::encode_row(std::span<const float> row,
   }
   const int gs = group_size();
   std::size_t off = 0;
-  std::vector<double> buf(static_cast<std::size_t>(gs));
   for (int start = 0; start < row_elems_; start += gs) {
     const int n = std::min(gs, row_elems_ - start);
     const std::size_t gb = group_bytes(n);
     std::span<std::uint8_t> dst = out.subspan(off, gb);
-    std::fill(dst.begin(), dst.end(), std::uint8_t{0});
     if (format_.kind == KvFormat::Kind::kInt8) {
+      std::fill(dst.begin(), dst.end(), std::uint8_t{0});
       float max_abs = 0.0f;
       for (int i = 0; i < n; ++i) {
         const float v = row[static_cast<std::size_t>(start + i)];
@@ -169,21 +183,23 @@ void KvPageCodec::encode_row(std::span<const float> row,
             static_cast<std::uint8_t>(static_cast<std::int8_t>(q));
       }
     } else {
-      for (int i = 0; i < n; ++i)
-        buf[static_cast<std::size_t>(i)] = static_cast<double>(
-            row[static_cast<std::size_t>(start + i)]);
-      const EncodedBlock block = encode_block(
-          std::span<const double>(buf.data(), static_cast<std::size_t>(n)),
-          format_.block);
-      const std::int16_t es = static_cast<std::int16_t>(block.shared_exponent);
+      encode_block_into(
+          row.subspan(static_cast<std::size_t>(start),
+                      static_cast<std::size_t>(n)),
+          format_.block, block_);
+      const std::int16_t es =
+          static_cast<std::int16_t>(block_.shared_exponent);
       std::memcpy(dst.data(), &es, sizeof(std::int16_t));
       BitWriter bits(dst.subspan(sizeof(std::int16_t)));
-      for (int i = 0; i < n; ++i) {
-        const BlockElement& e = block.elems[static_cast<std::size_t>(i)];
-        bits.put(e.negative ? 1u : 0u, 1);
-        if (format_.block.is_bbfp()) bits.put(e.flag ? 1u : 0u, 1);
-        bits.put(e.mantissa, format_.block.mantissa_bits);
+      const int m = format_.block.mantissa_bits;
+      const bool bbfp = format_.block.is_bbfp();
+      for (const BlockElement& e : block_.elems) {
+        // One field per element: sign, [flag,] mantissa.
+        std::uint32_t field = e.negative ? 1u : 0u;
+        if (bbfp) field = (field << 1) | (e.flag ? 1u : 0u);
+        bits.put((field << m) | e.mantissa, 1 + (bbfp ? 1 : 0) + m);
       }
+      bits.flush();
     }
     off += gb;
   }
@@ -215,20 +231,19 @@ void KvPageCodec::decode_row(std::span<const std::uint8_t> in,
     } else {
       std::int16_t es = 0;
       std::memcpy(&es, src.data(), sizeof(std::int16_t));
-      EncodedBlock block;
-      block.format = format_.block;
-      block.shared_exponent = es;
-      block.elems.resize(static_cast<std::size_t>(n));
       BitReader bits(src.subspan(sizeof(std::int16_t)));
+      const int m = format_.block.mantissa_bits;
+      const bool bbfp = format_.block.is_bbfp();
+      const int width = 1 + (bbfp ? 1 : 0) + m;
       for (int i = 0; i < n; ++i) {
-        BlockElement& e = block.elems[static_cast<std::size_t>(i)];
-        e.negative = bits.get(1) != 0;
-        if (format_.block.is_bbfp()) e.flag = bits.get(1) != 0;
-        e.mantissa = bits.get(format_.block.mantissa_bits);
-      }
-      for (int i = 0; i < n; ++i)
+        const std::uint32_t field = bits.get(width);
+        BlockElement e;
+        e.mantissa = field & ((std::uint32_t{1} << m) - 1);
+        e.flag = bbfp && ((field >> m) & 1u) != 0;
+        e.negative = (field >> (width - 1)) != 0;
         out[static_cast<std::size_t>(start + i)] =
-            static_cast<float>(block.decode(static_cast<std::size_t>(i)));
+            static_cast<float>(decode_element(format_.block, es, e));
+      }
     }
     off += gb;
   }

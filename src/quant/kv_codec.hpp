@@ -32,6 +32,7 @@
 #include <string_view>
 
 #include "common/result.hpp"
+#include "quant/block.hpp"
 #include "quant/format.hpp"
 
 namespace bbal::quant {
@@ -77,9 +78,11 @@ struct KvFormat {
   }
 };
 
-/// Stateless row codec for one (format, row length) pair. A "row" is one
-/// K or V vector of d_model floats; the codec fixes its packed size so
-/// page payloads are flat arrays of encoded_row_bytes()-sized rows.
+/// Row codec for one (format, row length) pair. A "row" is one K or V
+/// vector of d_model floats; the codec fixes its packed size so page
+/// payloads are flat arrays of encoded_row_bytes()-sized rows. Encoding
+/// reuses one scratch block, so it allocates nothing once warm — and one
+/// codec must not encode from two threads at once.
 class KvPageCodec {
  public:
   KvPageCodec() : KvPageCodec(KvFormat::fp32(), 1) {}
@@ -107,6 +110,7 @@ class KvPageCodec {
   KvFormat format_;
   int row_elems_ = 0;
   std::size_t row_bytes_ = 0;
+  mutable EncodedBlock block_;  ///< encode_row's working block
 };
 
 }  // namespace bbal::quant

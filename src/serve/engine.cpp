@@ -469,7 +469,9 @@ Report Engine::run() {
   };
 
   // Per-tick batch scratch, reused across ticks: once each vector has hit
-  // its high-water mark, the steady-state loop allocates nothing.
+  // its high-water mark it stops reallocating. The run as a whole is not
+  // allocation-free (perfbench's allocs_per_token at BBAL_THREADS=1 is
+  // about 76 per token on decode-bbfp; see perfbench/METRICS.md).
   std::vector<int> tick_tokens;
   std::vector<llm::KVCacheView*> tick_views;
   std::vector<int> tick_counts;        ///< rows per view (step_groups)

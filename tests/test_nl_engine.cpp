@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "llm/tensor.hpp"
@@ -157,6 +159,31 @@ TEST(NlEngine, StatsTrackSubtables) {
   EXPECT_GT(stats.lut_lookups, 0u);
   EXPECT_GT(stats.blocks_encoded, 0u);
   EXPECT_FALSE(stats.subtables_touched.empty());
+}
+
+TEST(NlEngine, EnginesOnSeveralThreadsAgree) {
+  // Engines share their memoised sub-table rows process-wide; engines
+  // filling them concurrently must read exactly what one engine alone
+  // computes. Odd mantissa widths keep the rows cold for this test.
+  const quant::BlockFormat fmt = quant::BlockFormat::bbfp(9, 4);
+  std::vector<std::vector<float>> inputs(8, std::vector<float>(96));
+  Rng rng(31);
+  for (auto& v : inputs)
+    for (float& x : v) x = static_cast<float>(rng.gaussian(0.0, 3.0));
+  const auto run = [&](std::vector<std::vector<float>>& vs) {
+    NlUnitEngine engine(fmt);
+    for (auto& v : vs) {
+      engine.silu(v);
+      engine.softmax(v);
+    }
+  };
+  std::vector<std::vector<std::vector<float>>> outs(4, inputs);
+  std::vector<std::thread> threads;
+  for (auto& out : outs) threads.emplace_back([&run, &out] { run(out); });
+  for (std::thread& t : threads) t.join();
+  std::vector<std::vector<float>> serial = inputs;
+  run(serial);
+  for (const auto& out : outs) EXPECT_EQ(out, serial);
 }
 
 TEST(NlEngine, ProvisionedSubtablesMatchPaper) {

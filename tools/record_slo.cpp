@@ -281,9 +281,10 @@ int main(int argc, char** argv) {
       for (const serve::RequestResult& r : report.results) {
         if (!r.ok && r.reason == serve::FinishReason::kNone) {
           std::fprintf(stderr,
-                       "  preempt pair (%s): request %d failed with an "
+                       "  preempt pair (%s): request %llu failed with an "
                        "UNTYPED error: %s\n",
-                       preempt_on ? "on" : "off", r.id, r.error.c_str());
+                       preempt_on ? "on" : "off",
+                       static_cast<unsigned long long>(r.id), r.error.c_str());
           return 1;
         }
       }
