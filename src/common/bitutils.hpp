@@ -58,10 +58,9 @@ namespace bbal {
   // Round up above the half-way point, and on a tie when that makes the
   // result even. Computed without branches: the dropped bits of quantised
   // data are effectively random, so a branch would mispredict often.
-  const std::uint64_t up = static_cast<std::uint64_t>(dropped > half) |
-                           (static_cast<std::uint64_t>(dropped == half) &
-                            (kept & 1u));
-  return kept + up;
+  const std::uint64_t above = dropped > half;
+  const std::uint64_t tie = dropped == half;
+  return kept + (above | (tie & kept & 1u));
 }
 
 /// True if `v` fits in `bits` unsigned bits.

@@ -44,8 +44,9 @@ namespace detail {
   FloatParts parts;
   parts.zero = false;
   parts.negative = (bits >> 63) != 0;
-  parts.mantissa = shr_rne((bits & low_mask(52)) | (std::uint64_t{1} << 52),
-                           53 - precision_bits);
+  const std::uint64_t implicit_one = std::uint64_t{1} << 52;
+  const std::uint64_t significand = (bits & low_mask(52)) | implicit_one;
+  parts.mantissa = shr_rne(significand, 53 - precision_bits);
   parts.exponent = biased - 1023;
   if (parts.mantissa == (std::uint64_t{1} << precision_bits)) {
     parts.mantissa >>= 1;  // rounding carry: 1.111..1 -> 10.00..0
@@ -65,9 +66,10 @@ namespace detail {
 /// normal double the product is one multiply: both it and ldexp are the
 /// correctly rounded value of the same real number.
 [[nodiscard]] inline double scale_pow2(double x, int e) {
-  if (e >= -1022 && e <= 1023)
-    return x * std::bit_cast<double>(static_cast<std::uint64_t>(e + 1023)
-                                     << 52);
+  if (e >= -1022 && e <= 1023) {
+    const auto biased = static_cast<std::uint64_t>(e + 1023);
+    return x * std::bit_cast<double>(biased << 52);
+  }
   return std::ldexp(x, e);
 }
 

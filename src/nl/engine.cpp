@@ -35,15 +35,15 @@ const double* NlUnitEngine::shared_row(Table table, int step_exponent,
   // Never destroyed: rows handed out stay valid until process exit.
   static auto* const rows = new std::map<Key, std::unique_ptr<double[]>>();
   const std::lock_guard<std::mutex> lock(mu);
-  std::unique_ptr<double[]>& row =
-      (*rows)[{table, fmt_.mantissa_bits, addr_bits_, step_exponent,
-               negative}];
+  const int m = fmt_.mantissa_bits;
+  const Key key{table, m, addr_bits_, step_exponent, negative};
+  std::unique_ptr<double[]>& row = (*rows)[key];
   if (!row) {
+    const LutTable& t = tables_[table];
     const std::uint32_t entries = std::uint32_t{1} << addr_bits_;
     row = std::make_unique<double[]>(entries);
     for (std::uint32_t a = 0; a < entries; ++a)
-      row[a] = quantise_entry(tables_[table].f(
-          bucket_midpoint(step_exponent, negative, a)));
+      row[a] = quantise_entry(t.f(bucket_midpoint(step_exponent, negative, a)));
   }
   return row.get();
 }
@@ -112,26 +112,22 @@ void NlUnitEngine::run_lut(std::span<const double> xs, std::span<double> out,
 
 void NlUnitEngine::apply_lut(std::span<const double> xs, std::span<double> out,
                              const std::function<double(double)>& f) {
-  run_lut(xs, out,
-          [&](const quant::BlockElement* e, int step_exponent,
-              std::uint32_t addr) {
-            const double x_mid =
-                e == nullptr ? 0.0
-                             : bucket_midpoint(step_exponent, e->negative,
-                                               addr);
-            return quantise_entry(f(x_mid));
-          });
+  const auto entry = [&](const quant::BlockElement* e, int step_exponent,
+                         std::uint32_t addr) {
+    if (e == nullptr) return quantise_entry(f(0.0));
+    return quantise_entry(f(bucket_midpoint(step_exponent, e->negative, addr)));
+  };
+  run_lut(xs, out, entry);
 }
 
 void NlUnitEngine::apply_table(std::span<const double> xs,
                                std::span<double> out, Table table) {
-  run_lut(xs, out,
-          [&](const quant::BlockElement* e, int step_exponent,
-              std::uint32_t addr) {
-            return e == nullptr
-                       ? tables_[table].at_zero
-                       : lut_entry(table, step_exponent, e->negative, addr);
-          });
+  const auto entry = [&](const quant::BlockElement* e, int step_exponent,
+                         std::uint32_t addr) {
+    if (e == nullptr) return tables_[table].at_zero;
+    return lut_entry(table, step_exponent, e->negative, addr);
+  };
+  run_lut(xs, out, entry);
 }
 
 void NlUnitEngine::softmax(std::span<float> xs) {

@@ -97,13 +97,14 @@ void encode_block_impl(std::span<const T> values, const BlockFormat& fmt,
   block.format = fmt;
   block.elems.resize(values.size());
   bool any_nonzero = false;
-  block.shared_exponent = shared_exponent_of(values, fmt, any_nonzero);
+  const int se = shared_exponent_of(values, fmt, any_nonzero);
+  block.shared_exponent = se;
+  if (!any_nonzero) {  // an all-zero block stores plain (positive) zeros
+    std::fill(block.elems.begin(), block.elems.end(), BlockElement{});
+    return;
+  }
   for (std::size_t i = 0; i < values.size(); ++i)
-    // An all-zero block stores plain (positive) zero elements.
-    block.elems[i] = any_nonzero
-                         ? encode_element(static_cast<double>(values[i]),
-                                          block.shared_exponent, fmt)
-                         : BlockElement{};
+    block.elems[i] = encode_element(static_cast<double>(values[i]), se, fmt);
 }
 
 template <typename T>
@@ -117,10 +118,12 @@ void quantise_impl(std::span<const T> values, const BlockFormat& fmt,
     const std::span<const T> in = values.subspan(start, len);
     bool any_nonzero = false;
     const int se = shared_exponent_of(in, fmt, any_nonzero);
+    if (!any_nonzero) {  // an all-zero block decodes to plain zeros
+      std::fill_n(out.subspan(start).begin(), len, T{0});
+      continue;
+    }
     for (std::size_t i = 0; i < len; ++i) {
-      const BlockElement e =
-          any_nonzero ? encode_element(static_cast<double>(in[i]), se, fmt)
-                      : BlockElement{};
+      const BlockElement e = encode_element(static_cast<double>(in[i]), se, fmt);
       out[start + i] = static_cast<T>(decode_element(fmt, se, e));
     }
   }

@@ -29,8 +29,8 @@ struct BlockElement {
   const double mag =
       scale_pow2(static_cast<double>(e.mantissa),
                  shared_exponent - fmt.mantissa_bits + 1 + lift);
-  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(mag) ^
-                               (static_cast<std::uint64_t>(e.negative) << 63));
+  const std::uint64_t sign = static_cast<std::uint64_t>(e.negative) << 63;
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(mag) ^ sign);
 }
 
 /// A block of values sharing one exponent, plus enough metadata to decode.

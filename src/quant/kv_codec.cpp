@@ -183,12 +183,10 @@ void KvPageCodec::encode_row(std::span<const float> row,
             static_cast<std::uint8_t>(static_cast<std::int8_t>(q));
       }
     } else {
-      encode_block_into(
-          row.subspan(static_cast<std::size_t>(start),
-                      static_cast<std::size_t>(n)),
-          format_.block, block_);
-      const std::int16_t es =
-          static_cast<std::int16_t>(block_.shared_exponent);
+      const auto group = row.subspan(static_cast<std::size_t>(start),
+                                     static_cast<std::size_t>(n));
+      encode_block_into(group, format_.block, block_);
+      const std::int16_t es = static_cast<std::int16_t>(block_.shared_exponent);
       std::memcpy(dst.data(), &es, sizeof(std::int16_t));
       BitWriter bits(dst.subspan(sizeof(std::int16_t)));
       const int m = format_.block.mantissa_bits;

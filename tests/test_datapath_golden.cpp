@@ -170,10 +170,8 @@ std::uint64_t quantise_hash(const quant::BlockFormat& fmt) {
   Hash h;
   // Whole vector (full blocks plus a short tail) and a few odd offsets so
   // block boundaries land on different elements.
-  for (const std::size_t off : {std::size_t{0}, std::size_t{5},
-                                std::size_t{37}}) {
-    const std::span<const float> src =
-        std::span<const float>(in).subspan(off);
+  for (const std::size_t off : {0u, 5u, 37u}) {
+    const std::span<const float> src = std::span<const float>(in).subspan(off);
     std::vector<float> out(src.size());
     quant::quantise(src, fmt, out);
     for (const float x : out) h.mix(x);
@@ -319,10 +317,10 @@ serve::Report lut_stream(int threads) {
                             quant::spec_of("BBFP-LUT(10,5)"),
                             std::move(options))
           .expect("engine");
-  for (const serve::Request& req : serve::synthetic_requests(
-           prepared->config, /*count=*/10, /*base_prompt_len=*/6,
-           /*max_new_tokens=*/8))
-    engine.submit(req);
+  const std::vector<serve::Request> requests = serve::synthetic_requests(
+      prepared->config, /*count=*/10, /*base_prompt_len=*/6,
+      /*max_new_tokens=*/8);
+  for (const serve::Request& req : requests) engine.submit(req);
   serve::Report report = engine.run();
   common::ThreadPool::set_global_threads(common::ThreadPool::env_threads());
   return report;
