@@ -21,12 +21,16 @@ GemmStats& GemmStats::operator+=(const GemmStats& other) {
   return *this;
 }
 
-GemmStats simulate_gemm(const AcceleratorConfig& cfg, const GemmShape& shape) {
+namespace {
+
+/// simulate_gemm at an already-resolved storage width: resolving the PE
+/// design parses the strategy string, so simulate_workload does it once.
+GemmStats gemm_at(const AcceleratorConfig& cfg, double bits,
+                  const GemmShape& shape) {
   assert(shape.m >= 1 && shape.k >= 1 && shape.n >= 1);
   GemmStats s;
   s.macs = shape.macs();
 
-  const double bits = cfg.bits_per_element();
   const double bytes_per_elem = bits / 8.0;
   const auto r = static_cast<std::int64_t>(cfg.array_rows);
   const auto c = static_cast<std::int64_t>(cfg.array_cols);
@@ -81,17 +85,11 @@ GemmStats simulate_gemm(const AcceleratorConfig& cfg, const GemmShape& shape) {
   return s;
 }
 
-GemmStats simulate_gemms(const AcceleratorConfig& cfg,
-                         const std::vector<GemmShape>& gemms) {
-  GemmStats total;
-  for (const GemmShape& g : gemms) total += simulate_gemm(cfg, g);
-  return total;
-}
-
+/// Energy of an aggregated run on the config's buffers and PE design.
 EnergyBreakdown energy_of(const AcceleratorConfig& cfg,
+                          const hw::DatapathDesign& pe,
                           const GemmStats& stats) {
   const hw::CellLibrary& lib = hw::CellLibrary::tsmc28();
-  const hw::DatapathDesign pe = cfg.pe_design();
   EnergyBreakdown e;
 
   // Core: one MAC through the PE datapath per MAC operation. The factor
@@ -103,7 +101,7 @@ EnergyBreakdown energy_of(const AcceleratorConfig& cfg,
 
   // Buffers: per-element accesses at the element width.
   const int word_bits =
-      std::max(8, static_cast<int>(std::lround(cfg.bits_per_element())));
+      std::max(8, static_cast<int>(std::lround(pe.equivalent_bits)));
   const hw::SramMacro wbuf = hw::make_sram(cfg.weight_buffer_bytes, word_bits);
   const hw::SramMacro abuf = hw::make_sram(cfg.act_buffer_bytes, word_bits);
   const hw::SramMacro obuf = hw::make_sram(cfg.out_buffer_bytes, 32);
@@ -125,16 +123,24 @@ EnergyBreakdown energy_of(const AcceleratorConfig& cfg,
   return e;
 }
 
+}  // namespace
+
+GemmStats simulate_gemm(const AcceleratorConfig& cfg, const GemmShape& shape) {
+  return gemm_at(cfg, cfg.bits_per_element(), shape);
+}
+
 RunStats simulate_workload(const AcceleratorConfig& cfg,
-                           const std::vector<GemmShape>& gemms) {
+                           std::span<const GemmShape> gemms) {
+  const hw::DatapathDesign pe = cfg.pe_design();
   RunStats run;
-  run.gemm = simulate_gemms(cfg, gemms);
+  for (const GemmShape& g : gemms)
+    run.gemm += gemm_at(cfg, pe.equivalent_bits, g);
   run.seconds = run.gemm.cycles / (cfg.freq_ghz * 1e9);
   run.throughput_gops =
       run.seconds > 0.0
           ? 2.0 * static_cast<double>(run.gemm.macs) / run.seconds / 1e9
           : 0.0;
-  run.energy = energy_of(cfg, run.gemm);
+  run.energy = energy_of(cfg, pe, run.gemm);
   return run;
 }
 

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "accel/config.hpp"
 #include "accel/workload.hpp"
@@ -38,10 +38,6 @@ struct GemmStats {
 [[nodiscard]] GemmStats simulate_gemm(const AcceleratorConfig& cfg,
                                       const GemmShape& shape);
 
-/// Aggregate over a GEMM list.
-[[nodiscard]] GemmStats simulate_gemms(const AcceleratorConfig& cfg,
-                                       const std::vector<GemmShape>& gemms);
-
 struct EnergyBreakdown {
   double core_j = 0.0;
   double buffer_j = 0.0;
@@ -52,10 +48,6 @@ struct EnergyBreakdown {
   }
 };
 
-/// Energy of an aggregated run (uses the config's PE design and buffers).
-[[nodiscard]] EnergyBreakdown energy_of(const AcceleratorConfig& cfg,
-                                        const GemmStats& stats);
-
 struct RunStats {
   GemmStats gemm;
   double seconds = 0.0;
@@ -63,8 +55,9 @@ struct RunStats {
   EnergyBreakdown energy;
 };
 
-/// Simulate a GEMM workload end to end (cycles -> time -> energy).
+/// Simulate a GEMM workload end to end (cycles -> time -> energy),
+/// resolving the PE design once per call.
 [[nodiscard]] RunStats simulate_workload(const AcceleratorConfig& cfg,
-                                         const std::vector<GemmShape>& gemms);
+                                         std::span<const GemmShape> gemms);
 
 }  // namespace bbal::accel

@@ -33,7 +33,8 @@ struct NlOp {
 };
 
 /// All GEMMs of one decode step (M = 1) at context length `ctx`:
-/// QKV + attention score/context + output proj + gate/up/down, per layer.
+/// QKV + attention score/context + output proj + gate/up/down, per layer —
+/// prefill_chunk_gemms(cfg, ctx - 1, 1).
 [[nodiscard]] std::vector<GemmShape> decode_step_gemms(
     const llm::ModelConfig& cfg, int ctx);
 
@@ -59,10 +60,10 @@ struct NlOp {
 [[nodiscard]] std::vector<GemmShape> prefill_chunk_gemms(
     const llm::ModelConfig& cfg, int base, int chunk);
 
-/// Nonlinear ops of a prefill pass (seq softmaxes of average width seq/2
-/// per head per layer; seq SiLU rows).
-[[nodiscard]] std::vector<NlOp> prefill_nl_ops(const llm::ModelConfig& cfg,
-                                               int seq);
+/// prefill_chunk_gemms appended to `gemms` instead of returned, so a
+/// caller pricing many sequences per tick can reuse one buffer.
+void append_prefill_chunk_gemms(const llm::ModelConfig& cfg, int base,
+                                int chunk, std::vector<GemmShape>& gemms);
 
 /// Total MAC count of a GEMM list.
 [[nodiscard]] std::int64_t total_macs(const std::vector<GemmShape>& gemms);

@@ -57,10 +57,6 @@ class Result {
     r.error_ = std::move(message);
     return r;
   }
-  /// Propagate an error (or wrap a value-less ok as a default T).
-  [[nodiscard]] static Result from_status(const Status& s, T fallback = T{}) {
-    return s.is_ok() ? Result(std::move(fallback)) : error(s.message());
-  }
 
   [[nodiscard]] bool is_ok() const { return value_.has_value(); }
   [[nodiscard]] explicit operator bool() const { return is_ok(); }
@@ -72,10 +68,6 @@ class Result {
   [[nodiscard]] T& value() & { return *value_; }
   [[nodiscard]] const T& value() const& { return *value_; }
   [[nodiscard]] T&& value() && { return std::move(*value_); }
-
-  [[nodiscard]] T value_or(T fallback) const& {
-    return value_ ? *value_ : std::move(fallback);
-  }
 
   /// Unwrap or abort with a readable message (see Status::expect).
   [[nodiscard]] T expect(const char* context) && {

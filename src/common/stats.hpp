@@ -16,15 +16,6 @@ namespace bbal {
 [[nodiscard]] double mse(std::span<const double> reference,
                          std::span<const double> approx);
 
-/// Mean relative error |ref - approx| / max(|ref|, eps).
-[[nodiscard]] double mean_relative_error(std::span<const double> reference,
-                                         std::span<const double> approx,
-                                         double eps = 1e-12);
-
-/// Signal-to-quantisation-noise ratio in dB.
-[[nodiscard]] double sqnr_db(std::span<const double> reference,
-                             std::span<const double> approx);
-
 /// Fixed-width histogram over |x| in [0, max_value]; values above the range
 /// land in the last bin. Returns per-bin counts.
 [[nodiscard]] std::vector<std::size_t> abs_histogram(

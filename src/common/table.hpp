@@ -16,8 +16,6 @@ class TextTable {
 
   /// Convenience: formats doubles with the given precision.
   [[nodiscard]] static std::string num(double v, int precision = 2);
-  /// Formats a double or "N/A" when not finite.
-  [[nodiscard]] static std::string num_or_na(double v, int precision = 2);
 
   /// Render with column alignment and a header rule.
   [[nodiscard]] std::string render() const;

@@ -193,28 +193,6 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
                       });
 }
 
-void ThreadPool::parallel_for_tiles(
-    std::int64_t rows, std::int64_t cols, std::int64_t tile_rows,
-    std::int64_t tile_cols, const std::function<void(const Tile&)>& body) {
-  if (rows <= 0 || cols <= 0) return;
-  tile_rows = std::max<std::int64_t>(1, tile_rows);
-  tile_cols = std::max<std::int64_t>(1, tile_cols);
-  const std::int64_t row_tiles = (rows + tile_rows - 1) / tile_rows;
-  const std::int64_t col_tiles = (cols + tile_cols - 1) / tile_cols;
-  parallel_for_chunks(
-      0, row_tiles * col_tiles, /*grain=*/1,
-      [&](std::int64_t t0, std::int64_t t1) {
-        for (std::int64_t t = t0; t < t1; ++t) {
-          Tile tile;
-          tile.row_begin = (t / col_tiles) * tile_rows;
-          tile.row_end = std::min(rows, tile.row_begin + tile_rows);
-          tile.col_begin = (t % col_tiles) * tile_cols;
-          tile.col_end = std::min(cols, tile.col_begin + tile_cols);
-          body(tile);
-        }
-      });
-}
-
 namespace {
 std::mutex g_global_mutex;
 std::unique_ptr<ThreadPool> g_global_pool;

@@ -64,18 +64,6 @@ class ThreadPool {
       std::int64_t begin, std::int64_t end, std::int64_t grain,
       const std::function<void(std::int64_t, std::int64_t)>& body);
 
-  /// One 2-D tile of a [0,rows) x [0,cols) iteration space.
-  struct Tile {
-    std::int64_t row_begin = 0, row_end = 0;
-    std::int64_t col_begin = 0, col_end = 0;
-  };
-
-  /// Tile a 2-D range and run body(tile) for every tile; tiles are
-  /// enumerated row-major and each is executed exactly once.
-  void parallel_for_tiles(std::int64_t rows, std::int64_t cols,
-                          std::int64_t tile_rows, std::int64_t tile_cols,
-                          const std::function<void(const Tile&)>& body);
-
   /// The process-wide pool, created on first use with env_threads().
   [[nodiscard]] static ThreadPool& global();
   /// Replace the global pool with an n-executor one (the --threads knob).

@@ -9,26 +9,16 @@
 // weight footprint is surfaced as Report::weights_bytes; it does not
 // scale with max_batch). max_batch is purely an admission cap: how many
 // requests may be in flight per tick. Requests queue in submit() order;
-// run() executes the continuous-batching loop:
+// run() loops over the tick phases (docs/SERVING.md, "Tick anatomy"):
 //
-//   tick:  admit queued requests into free batch slots in the order the
-//          configured SchedulerPolicy picks (fifo / sjf / prefix-aware,
-//          see serve/policy.hpp),
-//          plan the tick's rows — every decoding flight steps one token;
-//          prefilling flights are granted up to prefill_chunk prompt
-//          tokens each under the tick-wide prefill_budget
-//          (serve::plan_prefill; docs/PREFILL.md),
-//          reserve each flight's granted KV positions in the paged pool,
-//          advance the whole mix in ONE fused Decoder::step_groups
-//          forward — decode rows and prefill-chunk rows stack into a
-//          single (rows x d_model) matrix, so each projection is one
-//          batched GEMM (activations quantised once, rows tiled over
-//          common::ThreadPool::global()) while attention stays per
-//          sequence and causal within a chunk, and
-//          price the tick by replaying its combined GEMM workload
-//          (decode_step_gemms / prefill_chunk_gemms) on the accelerator
-//          model plus the tick's KV-cache traffic on an hw::sram macro
-//          (when one is attached).
+//   deliver arrivals -> expire cancellations and deadlines -> admit (the
+//   configured SchedulerPolicy picks, the KV page budget gates) -> plan
+//   the rows (decoding flights step one token, prefilling flights take
+//   chunks under serve::plan_prefill) -> reserve their KV positions ->
+//   draft (speculative runs) -> price the tick's GEMMs on the accelerator
+//   model and its KV traffic on an hw::sram macro -> forward the whole
+//   mix in ONE fused Decoder::step_groups and emit tokens -> bookkeep
+//   and retire finished requests.
 //
 // Time is the engine's own simulated tick (one fused decode step = one
 // tick). A submitted request carrying an open-loop arrival_tick (see
@@ -246,7 +236,7 @@ class Engine {
   /// Bytes of quantised weight storage held by the shared backend —
   /// independent of max_batch (weights are prepared exactly once).
   [[nodiscard]] std::int64_t weights_bytes() const {
-    return model_->weights_bytes();
+    return pipeline_.model->weights_bytes();
   }
   [[nodiscard]] bool has_accelerator() const { return accel_.has_value(); }
   [[nodiscard]] std::string_view policy() const { return policy_->name(); }
@@ -256,48 +246,22 @@ class Engine {
   [[nodiscard]] bool preempt_enabled() const { return preempt_; }
 
  private:
-  /// An admitted request mid-flight: its pool sequence and progress.
-  /// Latency fields hold the global run clock (simulated makespan / wall
-  /// time since run start) at the respective event, so TTFT and total
-  /// latency include queueing delay — the client-visible metric.
-  /// prompt_pos starts at the sequence's shared prefix length, so a
-  /// prefix-hit request prefills only the unshared prompt tail.
-  struct InFlight {
-    std::size_t request_index = 0;  ///< into the run's requests/results
-    PagedKVPool::SeqId seq = -1;
-    PagedKVView view;
-    int prompt_pos = 0;
-    int last_token = -1;  ///< most recent generated token (decode input)
-    /// Rows this flight contributes to the current tick's fused step: 1
-    /// for a decode step, the granted chunk size while prefilling, 0 when
-    /// the tick's prefill budget passed it over (it sits the tick out).
-    int tick_rows = 0;
-    bool registered = false;  ///< prompt prefix registered in the pool
-    bool failed = false;      ///< KV reservation failed; retire with error
-    /// This tick's reserve failed transiently (injected fault, frozen
-    /// window, or pool pressure with preemption on): suspend and requeue
-    /// instead of retiring — the flight resumes bit-identically later.
-    bool requeue = false;
-    /// Re-prefilling after a suspension: the flight's prefill rows are
-    /// recompute work, attributed to Report::preempt_recompute_seconds.
-    bool resuming = false;
-    /// Speculative per-cycle state (docs/SPECULATIVE.md). The draft
-    /// sequence is an ephemeral fork of `seq` — it shares every verified
-    /// page (copy-on-write isolates the draft's own appends) and is
-    /// released at the end of the cycle.
-    int spec_k = 0;  ///< tokens drafted this cycle (budget-capped)
-    PagedKVPool::SeqId draft_seq = -1;
-    PagedKVView draft_view;
-    std::vector<int> proposals;  ///< this cycle's drafted tokens
-    int tick_base = 0;     ///< target KV length at tick start
-    int tick_emitted = 0;  ///< tokens emitted by this tick (0..spec_k+1)
-    double ttft_seconds = 0.0;
-    double ttft_wall_seconds = 0.0;
-    /// Simulated clock at the previous token emission (inter-token gaps).
-    double last_emit_seconds = 0.0;
-    double max_gap_seconds = 0.0;  ///< largest inter-token gap so far
-    int steps = 0;
+  /// One run()'s state; its member functions are the tick phases
+  /// (defined in engine.cpp, see docs/SERVING.md).
+  struct Run;
+
+  /// One quantised forward pipeline: a backend pair (weights quantised
+  /// once), the model wired over it, and the batch-stepping decoder with
+  /// its workspace.
+  struct Pipeline {
+    std::unique_ptr<llm::MatmulBackend> matmul;
+    std::unique_ptr<llm::NonlinearBackend> nonlinear;
+    std::unique_ptr<llm::Transformer> model;
+    std::unique_ptr<llm::Decoder> decoder;
   };
+  [[nodiscard]] static Result<Pipeline> make_pipeline(
+      const llm::PreparedModel& prepared, const quant::StrategySpec& matmul,
+      const quant::StrategySpec& nonlinear);
 
   Engine() = default;
 
@@ -321,19 +285,12 @@ class Engine {
   /// Iso-area re-provisioning of the target accelerator's PE budget for
   /// the draft strategy: what draft forwards are priced on.
   std::optional<accel::AcceleratorConfig> draft_accel_;
-  // The one shared pipeline: backends (weights quantised once), the model
-  // wired over them, and the batch-stepping decoder with its workspace.
-  std::unique_ptr<llm::MatmulBackend> matmul_backend_;
-  std::unique_ptr<llm::NonlinearBackend> nonlinear_backend_;
-  std::unique_ptr<llm::Transformer> model_;
-  std::unique_ptr<llm::Decoder> decoder_;
-  // The second (draft) pipeline — the same prepared weights quantised a
-  // second time under the draft strategy, with its own decoder workspace.
-  // Null unless speculative(); never counted in weights_bytes().
-  std::unique_ptr<llm::MatmulBackend> draft_matmul_backend_;
-  std::unique_ptr<llm::NonlinearBackend> draft_nonlinear_backend_;
-  std::unique_ptr<llm::Transformer> draft_model_;
-  std::unique_ptr<llm::Decoder> draft_decoder_;
+  /// The shared pipeline every request's rows run through.
+  Pipeline pipeline_;
+  /// The same prepared weights quantised a second time under the draft
+  /// strategy, with its own decoder workspace. Empty unless
+  /// speculative(); never counted in weights_bytes().
+  Pipeline draft_pipeline_;
   std::deque<Request> queue_;
 };
 

@@ -172,9 +172,6 @@ class PagedKVPool {
   /// *Packed* bytes of K+V payload one page holds
   /// (layers * slots * 2 * encoded_row_bytes).
   [[nodiscard]] std::int64_t page_bytes() const;
-  [[nodiscard]] std::int64_t bytes_in_use() const {
-    return static_cast<std::int64_t>(stats_.pages_in_use) * page_bytes();
-  }
   [[nodiscard]] std::int64_t bytes_peak() const {
     return static_cast<std::int64_t>(stats_.pages_in_use_peak) * page_bytes();
   }

@@ -101,13 +101,14 @@ struct RequestResult {
   /// request the arrival instant is the simulated time at which its
   /// arrival_tick began.
   double ttft_seconds = 0.0;
-  /// Simulated time from arrival until completion.
+  /// Simulated time from arrival until completion (or, for a request
+  /// that stopped short, until it retired).
   double total_seconds = 0.0;
   /// generated / total_seconds (0 when no accelerator is attached).
   double tokens_per_second = 0.0;
   /// Host wall-clock from arrival until the first generated token.
   double ttft_wall_seconds = 0.0;
-  /// Host wall-clock from arrival until completion.
+  /// Host wall-clock from arrival until completion (or retirement).
   double wall_seconds = 0.0;
 };
 

@@ -198,6 +198,9 @@ TEST(ServeFaults, ExhaustionWindowTypesOomWithoutPreemptionAndResumesWithIt) {
     EXPECT_NE(r.error.find("frozen"), std::string::npos) << r.error;
     EXPECT_GT(r.generated.size(), 0u);  // partial output survives
     EXPECT_TRUE(is_prefix(r.generated, clean.results[i].generated));
+    // The retirement keeps the flight's bookkeeping, like every other one.
+    EXPECT_GT(r.steps, 0);
+    EXPECT_GT(r.wall_seconds, 0.0);
   }
 
   serve::Engine::Options soft_options;

@@ -123,6 +123,27 @@ TEST(Workload, DecodeStepShapes) {
   EXPECT_EQ(nl[0].vectors, 4 * 2);
 }
 
+TEST(Workload, DecodeStepIsAOneRowPrefillChunk) {
+  llm::ModelConfig cfg;
+  cfg.d_model = 128;
+  cfg.n_layers = 2;
+  cfg.n_heads = 4;
+  cfg.d_ff = 344;
+  for (const int ctx : {1, 2, 17, 1024}) {
+    const auto decode = decode_step_gemms(cfg, ctx);
+    const auto chunk = prefill_chunk_gemms(cfg, ctx - 1, 1);
+    ASSERT_EQ(decode.size(), chunk.size()) << "ctx " << ctx;
+    for (std::size_t i = 0; i < decode.size(); ++i) {
+      EXPECT_EQ(decode[i].m, chunk[i].m) << "ctx " << ctx << " gemm " << i;
+      EXPECT_EQ(decode[i].k, chunk[i].k) << "ctx " << ctx << " gemm " << i;
+      EXPECT_EQ(decode[i].n, chunk[i].n) << "ctx " << ctx << " gemm " << i;
+      EXPECT_EQ(decode[i].tag, chunk[i].tag) << "ctx " << ctx << " gemm " << i;
+      EXPECT_EQ(decode[i].output_on_chip, chunk[i].output_on_chip);
+      EXPECT_EQ(decode[i].acts_on_chip, chunk[i].acts_on_chip);
+    }
+  }
+}
+
 TEST(Workload, PrefillScalesQuadraticallyInAttention) {
   llm::ModelConfig cfg;
   cfg.d_model = 128;

@@ -1,5 +1,5 @@
 // common::ThreadPool: coverage/ordering of parallel_for, exception
-// propagation, nesting, the 1-thread degenerate case and the 2-D tiler.
+// propagation, nesting and the 1-thread degenerate case.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -123,31 +123,11 @@ TEST(ThreadPool, SingleThreadRunsInlineOnCallerThread) {
   EXPECT_EQ(count, 500);
 }
 
-TEST(ThreadPool, TilesCoverTheMatrixExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr int kRows = 37;  // deliberately not multiples of the tile
-  constexpr int kCols = 23;
-  std::vector<std::atomic<int>> hits(kRows * kCols);
-  pool.parallel_for_tiles(
-      kRows, kCols, /*tile_rows=*/8, /*tile_cols=*/5,
-      [&](const ThreadPool::Tile& t) {
-        EXPECT_LE(t.row_end - t.row_begin, 8);
-        EXPECT_LE(t.col_end - t.col_begin, 5);
-        for (std::int64_t r = t.row_begin; r < t.row_end; ++r)
-          for (std::int64_t c = t.col_begin; c < t.col_end; ++c)
-            hits[static_cast<std::size_t>(r * kCols + c)].fetch_add(1);
-      });
-  for (int i = 0; i < kRows * kCols; ++i)
-    ASSERT_EQ(hits[static_cast<std::size_t>(i)], 1) << "cell " << i;
-}
-
 TEST(ThreadPool, EmptyAndReversedRangesAreNoOps) {
   ThreadPool pool(2);
   int count = 0;
   pool.parallel_for(0, 0, [&](std::int64_t) { ++count; });
   pool.parallel_for(10, 3, [&](std::int64_t) { ++count; });
-  pool.parallel_for_tiles(0, 5, 2, 2,
-                          [&](const ThreadPool::Tile&) { ++count; });
   EXPECT_EQ(count, 0);
 }
 
