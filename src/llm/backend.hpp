@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "llm/block_kernel.hpp"
 #include "llm/tensor.hpp"
 #include "quant/format.hpp"
 
@@ -89,10 +90,12 @@ class Fp32NonlinearBackend final : public NonlinearBackend {
 
 // --- Block-quantised backend ------------------------------------------------
 
-/// Fake-quant executor mathematically equivalent to the BBAL datapath:
-/// weights quantised offline column-block-wise along K, activations
-/// quantised on the fly row-block-wise along K, products accumulated in
-/// double (the FP-adder path across 32-element blocks).
+/// The BBAL datapath as a host executor: weights encoded offline
+/// column-block-wise along K, activations per call row-block-wise. Format
+/// pairs the integer kernel admits (llm/block_kernel.hpp) are held as int16
+/// lifted mantissas plus block steps and multiplied as exact integer block
+/// sums; wider formats are quantised to float and run through llm::matmul.
+/// The path is chosen once, in the constructor.
 class BlockQuantMatmulBackend final : public MatmulBackend {
  public:
   BlockQuantMatmulBackend(quant::BlockFormat act_fmt,
@@ -101,22 +104,27 @@ class BlockQuantMatmulBackend final : public MatmulBackend {
   int prepare_weights(const Matrix& w, const std::string& tag) override;
   void matmul(const Matrix& acts, int weight_handle, Matrix& out) override;
   void matmul_dynamic(const Matrix& a, const Matrix& b, Matrix& out) override;
-  [[nodiscard]] std::int64_t weights_bytes() const override {
-    return matrices_bytes(quantised_weights_);
-  }
+  [[nodiscard]] std::int64_t weights_bytes() const override;
   [[nodiscard]] std::string name() const override;
 
   /// Row-block-wise activation quantisation into a caller-owned matrix
-  /// (resized to acts' shape): the allocation-free path matmul() runs on.
+  /// (resized to acts' shape): the float path's activation step.
   void quantise_activations_into(const Matrix& acts, Matrix& q) const;
-  /// Quantise a weight matrix column-block-wise along K (exposed for tests).
-  [[nodiscard]] Matrix quantise_weights(const Matrix& w) const;
 
  private:
+  [[nodiscard]] Matrix quantise_weights(const Matrix& w) const;
+
   quant::BlockFormat act_fmt_;
   quant::BlockFormat weight_fmt_;
-  std::vector<Matrix> quantised_weights_;
-  Matrix act_scratch_;  ///< reused by matmul(); rows quantised per call
+  bool integer_;  ///< block_kernel_eligible(act_fmt_, weight_fmt_)
+  std::vector<PackedWeights> packed_weights_;  ///< integer path
+  std::vector<Matrix> float_weights_;          ///< float path
+  // Per-call activation scratch, reused so that a warm matmul() allocates
+  // nothing; backends are single-session objects (see bbal/registry.hpp),
+  // so matmul() is never re-entered.
+  PackedRows act_lanes_;  ///< integer path: act_source_, encoded
+  Matrix act_source_;     ///< the activations act_lanes_ encodes
+  Matrix act_scratch_;    ///< float path
 };
 
 /// Convenience: both sides in the same format (the paper's W&A setting).

@@ -156,9 +156,9 @@ class Decoder {
   /// distinct. logits_out is resized to (batch x vocab) reusing its
   /// storage, and the decoder's per-layer workspace persists across calls,
   /// so the step's own buffers are not reallocated once warm. A serving
-  /// run as a whole still allocates: perfbench measures allocs_per_token
-  /// at BBAL_THREADS=1 of about 76 (decode-bbfp), 22 (prefill-shared-fp16)
-  /// and 15 (sweep-table2). Rows follow the caller's order, so retiring or
+  /// run as a whole still allocates: perfbench reads allocs_per_token of
+  /// about 1.15 (decode-bbfp), 2.9 (prefill-shared-fp16) and 16
+  /// (sweep-table2). Rows follow the caller's order, so retiring or
   /// back-filling sequences between calls just changes which views are
   /// passed.
   void step_batch(std::span<const int> tokens,

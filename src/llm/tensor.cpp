@@ -15,12 +15,6 @@ namespace {
 // distributes.
 constexpr std::int64_t kParallelMinElements = 1 << 15;
 
-// Below this many MACs a GEMM runs inline. The vectorised kernel clears a
-// decode-sized GEMM (8 x 128 x 344) in ~30 us on one core, about what
-// waking idle pool workers between the serial nonlinear and KV-codec
-// phases of a step costs, so only prefill- and sweep-sized GEMMs fan out.
-constexpr std::int64_t kParallelMinMacs = 1 << 21;
-
 }  // namespace
 
 void matmul(const Matrix& a, const Matrix& b, Matrix& c) {
@@ -42,7 +36,7 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& c) {
   };
   const std::int64_t macs =
       static_cast<std::int64_t>(m) * k * n;
-  if (macs < kParallelMinMacs || m == 1) {
+  if (macs < kMatmulParallelMinMacs || m == 1) {
     row_chunk(0, m);
   } else {
     common::ThreadPool::global().parallel_for_chunks(0, m, /*grain=*/0,

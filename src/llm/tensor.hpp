@@ -1,11 +1,12 @@
 // Minimal dense row-major matrix with the numerics the transformer needs.
 //
-// GEMMs accumulate in double: products of block-quantised values are exact
-// in double, so the fake-quant executor matches the accelerator's integer
-// datapath bit for bit at block level (tested in test_quant_executor).
+// llm::matmul is the floating-point GEMM: one double accumulation per
+// output over ascending K, rounded to float once. Block-format weight
+// layers run on the integer block kernel instead (llm/block_kernel.hpp).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -58,6 +59,11 @@ class Matrix {
   int cols_ = 0;
   std::vector<float> data_;
 };
+
+/// GEMMs below this many MACs (or with one row) run inline: waking the
+/// pool between a decode step's serial phases costs about as much as a
+/// decode-sized GEMM.
+inline constexpr std::int64_t kMatmulParallelMinMacs = std::int64_t{1} << 21;
 
 /// C = A * B. A: MxK, B: KxN, C resized to MxN (reusing its storage when
 /// the shape already matches — no allocation in a steady-state loop).

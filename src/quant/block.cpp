@@ -123,7 +123,8 @@ void quantise_impl(std::span<const T> values, const BlockFormat& fmt,
       continue;
     }
     for (std::size_t i = 0; i < len; ++i) {
-      const BlockElement e = encode_element(static_cast<double>(in[i]), se, fmt);
+      const BlockElement e =
+          encode_element(static_cast<double>(in[i]), se, fmt);
       out[start + i] = static_cast<T>(decode_element(fmt, se, e));
     }
   }
@@ -180,6 +181,24 @@ void encode_block_into(std::span<const double> values, const BlockFormat& fmt,
 void encode_block_into(std::span<const float> values, const BlockFormat& fmt,
                        EncodedBlock& block) {
   encode_block_impl(values, fmt, block);
+}
+
+int encode_block_lanes(std::span<const float> values, const BlockFormat& fmt,
+                       std::span<std::int16_t> lanes) {
+  assert(!values.empty() && lanes.size() == values.size());
+  const int d = fmt.shift_distance();
+  assert(fmt.mantissa_bits + d <= 15);
+  bool any_nonzero = false;
+  // An all-zero block needs no special case: every element encodes to a
+  // zero mantissa whatever the shared exponent.
+  const int se = shared_exponent_of(values, fmt, any_nonzero);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const BlockElement e =
+        encode_element(static_cast<double>(values[i]), se, fmt);
+    const auto lifted = static_cast<int>(e.mantissa << (d * e.flag));
+    lanes[i] = static_cast<std::int16_t>(e.negative ? -lifted : lifted);
+  }
+  return se - fmt.mantissa_bits + 1;
 }
 
 void quantise(std::span<const double> values, const BlockFormat& fmt,

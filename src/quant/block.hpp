@@ -68,6 +68,14 @@ void encode_block_into(std::span<const double> values, const BlockFormat& fmt,
 void encode_block_into(std::span<const float> values, const BlockFormat& fmt,
                        EncodedBlock& block);
 
+/// encode_block straight into the integers the PE array multiplies:
+/// lanes[i] = ±mantissa << (flag·d), with lanes.size() == values.size()
+/// and m + d <= 15. Returns the step exponent E_s - m + 1: element i is
+/// lanes[i] * 2^step.
+[[nodiscard]] int encode_block_lanes(std::span<const float> values,
+                                     const BlockFormat& fmt,
+                                     std::span<std::int16_t> lanes);
+
 /// Round-trip convenience: encode in consecutive blocks of fmt.block_size
 /// (last block may be short) and decode back, element by element through
 /// the same rules as encode_block + decode, without materialising blocks
@@ -77,8 +85,8 @@ void quantise(std::span<const double> values, const BlockFormat& fmt,
 [[nodiscard]] std::vector<double> quantise(std::span<const double> values,
                                            const BlockFormat& fmt);
 
-/// float overload used by the LLM fake-quant executor: each value is
-/// quantised as its double conversion and the result rounded to float.
+/// float overload: each value is quantised as its double conversion and
+/// the result rounded to float.
 void quantise(std::span<const float> values, const BlockFormat& fmt,
               std::span<float> out);
 

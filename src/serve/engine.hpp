@@ -223,11 +223,6 @@ class Engine {
   [[nodiscard]] int max_batch() const { return max_batch_; }
   /// Speculative decoding configured (a draft backend is attached)?
   [[nodiscard]] bool speculative() const { return draft_k_ > 0; }
-  /// The draft backend's matmul strategy; only meaningful when
-  /// speculative().
-  [[nodiscard]] const quant::StrategySpec& draft_strategy() const {
-    return draft_;
-  }
   [[nodiscard]] int draft_k() const { return draft_k_; }
   /// The KV-cache storage format every run's pool encodes through.
   [[nodiscard]] const quant::KvFormat& kv_format() const {
@@ -242,8 +237,6 @@ class Engine {
   [[nodiscard]] std::string_view policy() const { return policy_->name(); }
   /// The run's fault-injection plan (empty by default).
   [[nodiscard]] const FaultPlan& faults() const { return faults_; }
-  /// Decode preemption enabled (Options::preempt)?
-  [[nodiscard]] bool preempt_enabled() const { return preempt_; }
 
  private:
   /// One run()'s state; its member functions are the tick phases

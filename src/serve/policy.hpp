@@ -73,8 +73,9 @@ class SchedulerPolicy {
   /// has the least KV to recompute under FIFO-ish admission and
   /// preserves the oldest flights' latency. Same determinism contract as
   /// pick(): a pure function of its arguments.
-  [[nodiscard]] virtual int pick_preempt(const std::vector<Request>& requests,
-                                         const std::vector<std::size_t>& decoding) const {
+  [[nodiscard]] virtual int pick_preempt(
+      const std::vector<Request>& requests,
+      const std::vector<std::size_t>& decoding) const {
     (void)requests;
     return decoding.empty() ? kNone : static_cast<int>(decoding.size()) - 1;
   }

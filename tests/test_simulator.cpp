@@ -3,9 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "accel/gemm_executor.hpp"
 #include "common/rng.hpp"
 #include "llm/backend.hpp"
+#include "llm/block_kernel.hpp"
+#include "quant/block.hpp"
+#include "quant/dot.hpp"
 
 namespace bbal::accel {
 namespace {
@@ -155,30 +165,203 @@ TEST(Workload, PrefillScalesQuadraticallyInAttention) {
   EXPECT_GT(static_cast<double>(b) / static_cast<double>(a), 2.0);
 }
 
-TEST(GemmExecutor, MatchesFakeQuantBackend) {
-  // The golden integer-datapath GEMM equals the fast fake-quant executor.
+/// C = A x W computed without the GEMM kernel: every block encoded with
+/// quant::encode_block, each block product on quant::dot_block's integer
+/// datapath, and the block values summed in ascending order in double.
+llm::Matrix block_oracle(const llm::Matrix& a, const llm::Matrix& w,
+                         const quant::BlockFormat& act_fmt,
+                         const quant::BlockFormat& weight_fmt) {
+  const int k = a.cols();
+  const int bs = act_fmt.block_size;
+  const auto encode = [&](auto value_at, const quant::BlockFormat& fmt) {
+    std::vector<quant::EncodedBlock> blocks;
+    for (int k0 = 0; k0 < k; k0 += bs) {
+      std::vector<double> vals;
+      for (int x = k0; x < std::min(k, k0 + bs); ++x)
+        vals.push_back(value_at(x));
+      blocks.push_back(quant::encode_block(vals, fmt));
+    }
+    return blocks;
+  };
+  std::vector<std::vector<quant::EncodedBlock>> rows;
+  std::vector<std::vector<quant::EncodedBlock>> cols;
+  for (int i = 0; i < a.rows(); ++i)
+    rows.push_back(encode([&](int x) { return a.at(i, x); }, act_fmt));
+  for (int j = 0; j < w.cols(); ++j)
+    cols.push_back(encode([&](int x) { return w.at(x, j); }, weight_fmt));
+  llm::Matrix out(a.rows(), w.cols());
+  for (int i = 0; i < a.rows(); ++i)
+    for (int j = 0; j < w.cols(); ++j) {
+      double acc = 0.0;
+      for (std::size_t b = 0; b < rows[i].size(); ++b)
+        acc += quant::dot_block(rows[i][b], cols[j][b]).value;
+      out.at(i, j) = static_cast<float>(acc);
+    }
+  return out;
+}
+
+void expect_same_bits(const llm::Matrix& want, const llm::Matrix& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.rows(), got.rows()) << what;
+  ASSERT_EQ(want.cols(), got.cols()) << what;
+  for (int i = 0; i < want.rows(); ++i)
+    for (int j = 0; j < want.cols(); ++j) {
+      const auto want_bits = std::bit_cast<std::uint32_t>(want.at(i, j));
+      const auto got_bits = std::bit_cast<std::uint32_t>(got.at(i, j));
+      ASSERT_EQ(want_bits, got_bits) << what << " at " << i << "," << j;
+    }
+}
+
+/// Heavy-tailed values with an all-zero row and an all-zero K-block.
+llm::Matrix generated_matrix(Rng& rng, int rows, int cols, bool by_row) {
+  llm::Matrix x(rows, cols);
+  for (float& v : x.flat())
+    v = static_cast<float>(rng.heavy_tailed(0.5, 0.05, 30.0));
+  const int outer = by_row ? rows : cols;
+  const int inner = by_row ? cols : rows;
+  auto at = [&](int o, int i) -> float& {
+    return by_row ? x.at(o, i) : x.at(i, o);
+  };
+  if (outer > 1)
+    for (int i = 0; i < inner; ++i) at(outer / 2, i) = 0.0f;
+  for (int i = 32; i < std::min(inner, 64); ++i) at(0, i) = 0.0f;
+  return x;
+}
+
+TEST(GemmExecutor, MatchesBackendAndBlockOracleBitForBit) {
+  // Every eligible Table 2 format, a mixed act/weight pair and the
+  // strategy_delta neighbours, over ragged K (short, exact and
+  // multi-block), decode- and prefill-sized M, and panel-tail N. The
+  // golden executor, the serving backend and every kernel variant this
+  // CPU runs must equal the independent oracle bit for bit.
+  using quant::BlockFormat;
+  const BlockFormat max3 = BlockFormat::bbfp(4, 2).with_delta(-1);
+  const BlockFormat max1 = BlockFormat::bbfp(4, 2).with_delta(1);
+  const BlockFormat bfp4_up = BlockFormat::bfp(4).with_delta(1);
+  const BlockFormat bfp6_down = BlockFormat::bfp(6).with_delta(-1);
+  const std::vector<std::pair<BlockFormat, BlockFormat>> formats = {
+      {BlockFormat::bfp(4), BlockFormat::bfp(4)},
+      {BlockFormat::bfp(6), BlockFormat::bfp(6)},
+      {BlockFormat::bbfp(3, 1), BlockFormat::bbfp(3, 1)},
+      {BlockFormat::bbfp(4, 2), BlockFormat::bbfp(4, 2)},
+      {BlockFormat::bbfp(4, 3), BlockFormat::bbfp(4, 3)},
+      {BlockFormat::bbfp(6, 3), BlockFormat::bbfp(6, 3)},
+      {BlockFormat::bbfp(6, 4), BlockFormat::bbfp(6, 4)},
+      {BlockFormat::bbfp(6, 3), BlockFormat::bbfp(4, 2)},
+      {max3, max1},
+      {bfp4_up, bfp6_down},
+  };
+  const std::vector<llm::BlockKernelIsa> isas = llm::block_kernel_isas();
   Rng rng(42);
-  llm::Matrix a(5, 96), w(96, 7);
-  for (float& v : a.flat())
-    v = static_cast<float>(rng.heavy_tailed(1.0, 0.05, 20.0));
-  for (float& v : w.flat())
-    v = static_cast<float>(rng.heavy_tailed(0.2, 0.02, 15.0));
+  int index = 0;
+  for (const auto& [act_fmt, weight_fmt] : formats) {
+    ASSERT_TRUE(llm::block_kernel_eligible(act_fmt, weight_fmt))
+        << act_fmt.name() << " x " << weight_fmt.name();
+    for (const int k : {1, 31, 32, 33, 96, 341})
+      for (const int m : {1, 8, 64}) {
+        const int n = std::array{1, 16, 37}[index++ % 3];
+        std::string what = act_fmt.name() + " x " + weight_fmt.name();
+        what += " delta " + std::to_string(act_fmt.strategy_delta);
+        what += "/" + std::to_string(weight_fmt.strategy_delta);
+        what += " " + std::to_string(m) + "x" + std::to_string(k);
+        what += "x" + std::to_string(n);
+        const llm::Matrix a = generated_matrix(rng, m, k, true);
+        const llm::Matrix w = generated_matrix(rng, k, n, false);
+        const llm::Matrix want = block_oracle(a, w, act_fmt, weight_fmt);
 
-  const quant::BlockFormat fmt = quant::BlockFormat::bbfp(4, 2);
-  const llm::Matrix golden = execute_gemm_bit_exact(a, w, fmt, fmt);
+        const llm::Matrix golden =
+            execute_gemm_bit_exact(a, w, act_fmt, weight_fmt);
+        expect_same_bits(want, golden, what + " golden executor");
+        llm::BlockQuantMatmulBackend backend(act_fmt, weight_fmt);
+        const int h = backend.prepare_weights(w, "w");
+        llm::Matrix served;
+        backend.matmul(a, h, served);
+        expect_same_bits(want, served, what + " backend");
 
+        llm::PackedRows rows;
+        llm::PackedWeights cols;
+        llm::reset_packed_rows(rows, m, k, act_fmt.block_size);
+        llm::pack_rows(llm::BlockKernelIsa::kScalar, a, act_fmt, rows, 0, m);
+        llm::reset_packed_weights(cols, k, n, weight_fmt.block_size);
+        llm::pack_weight_panels(w, weight_fmt, cols, 0, cols.panels());
+        for (const llm::BlockKernelIsa isa : isas) {
+          llm::Matrix c(m, n);
+          llm::block_gemm_rows(isa, rows, cols, c, 0, m);
+          const std::string variant = std::to_string(static_cast<int>(isa));
+          expect_same_bits(want, c, what + " variant " + variant);
+        }
+      }
+  }
+}
+
+TEST(GemmExecutor, SumsEachBlockBeforeAddingIt) {
+  // Products 2^60 (block 0), 128 and 128 (block 1), -2^60 (block 2). In
+  // element order each 128 ties at 2^60's ulp of 256 and rounds to even,
+  // giving 0; the datapath sums block 1 exactly to 256 first, giving 256.
+  llm::Matrix a(1, 96), w(96, 1);
+  a.at(0, 0) = 0x1p30f;
+  w.at(0, 0) = 0x1p30f;
+  for (const int x : {32, 33}) {
+    a.at(0, x) = 16.0f;
+    w.at(x, 0) = 8.0f;
+  }
+  a.at(0, 64) = -0x1p30f;
+  w.at(64, 0) = 0x1p30f;
+  const quant::BlockFormat fmt = quant::BlockFormat::bfp(4);
+
+  EXPECT_EQ(llm::matmul(a, w).at(0, 0), 0.0f);  // element order
+  EXPECT_EQ(block_oracle(a, w, fmt, fmt).at(0, 0), 256.0f);
+  EXPECT_EQ(execute_gemm_bit_exact(a, w, fmt, fmt).at(0, 0), 256.0f);
   llm::BlockQuantMatmulBackend backend(fmt, fmt);
   const int h = backend.prepare_weights(w, "w");
-  llm::Matrix fast;
-  backend.matmul(a, h, fast);
+  llm::Matrix served;
+  backend.matmul(a, h, served);
+  EXPECT_EQ(served.at(0, 0), 256.0f);
+}
 
-  ASSERT_EQ(golden.rows(), fast.rows());
-  ASSERT_EQ(golden.cols(), fast.cols());
-  for (int i = 0; i < golden.rows(); ++i)
-    for (int j = 0; j < golden.cols(); ++j)
-      EXPECT_NEAR(golden.at(i, j), fast.at(i, j),
-                  1e-5 * (1.0 + std::fabs(golden.at(i, j))))
-          << i << "," << j;
+TEST(GemmExecutor, EligibilityFollowsTheIntegerWidths) {
+  using quant::BlockFormat;
+  // m + d per side, plus ceil(log2 block) for the block sum, within 31.
+  const auto same = [](const BlockFormat& f) {
+    return llm::block_kernel_eligible(f, f);
+  };
+  EXPECT_TRUE(same(BlockFormat::bfp(8)));
+  EXPECT_TRUE(same(BlockFormat::bbfp(8, 5)));
+  EXPECT_FALSE(same(BlockFormat::bbfp(8, 2)));
+  EXPECT_FALSE(same(BlockFormat::bbfp(10, 5)));
+  EXPECT_TRUE(same(BlockFormat::bfp(14, 8)));
+  EXPECT_FALSE(same(BlockFormat::bfp(14, 32)));
+  EXPECT_FALSE(same(BlockFormat::bfp(16)));
+  EXPECT_FALSE(same(BlockFormat::bfp(4).with_delta(65)));
+  EXPECT_FALSE(llm::block_kernel_eligible(BlockFormat::bfp(4, 32),
+                                          BlockFormat::bfp(4, 16)));
+}
+
+TEST(GemmExecutor, WideFormatsKeepTheFloatPath) {
+  // BBFP(10,5) does not fit the integer kernel: the backend quantises both
+  // sides to float and multiplies them with llm::matmul.
+  Rng rng(9);
+  llm::Matrix a(3, 70), w(70, 5);
+  for (float& v : a.flat()) v = static_cast<float>(rng.gaussian());
+  for (float& v : w.flat()) v = static_cast<float>(rng.gaussian());
+  const quant::BlockFormat fmt = quant::BlockFormat::bbfp(10, 5);
+  llm::BlockQuantMatmulBackend backend(fmt, fmt);
+  llm::Matrix qa;
+  backend.quantise_activations_into(a, qa);
+  llm::Matrix qw(70, 5);
+  for (int j = 0; j < 5; ++j) {
+    std::vector<float> col(70);
+    for (int x = 0; x < 70; ++x) col[static_cast<std::size_t>(x)] = w.at(x, j);
+    const std::span<float> all(col);
+    quant::quantise(all.first(32), fmt, all.first(32));
+    quant::quantise(all.subspan(32, 32), fmt, all.subspan(32, 32));
+    quant::quantise(all.last(6), fmt, all.last(6));
+    for (int x = 0; x < 70; ++x) qw.at(x, j) = col[static_cast<std::size_t>(x)];
+  }
+  llm::Matrix served;
+  backend.matmul(a, backend.prepare_weights(w, "w"), served);
+  expect_same_bits(llm::matmul(qa, qw), served, "BBFP(10,5)");
+  EXPECT_EQ(backend.weights_bytes(), 70 * 5 * 4);
 }
 
 TEST(GemmExecutor, ExactWhenValuesOnGrid) {
